@@ -10,7 +10,7 @@ import numpy as np
 from conftest import run_once
 
 from repro.evaluation import one_query_per_group
-from repro.search import MultiStepPlan, multi_step_search
+from repro.search import CascadeStrategy, run_cascade
 
 POOLS = (10, 20, 30, 50)
 PAIRS = [
@@ -26,11 +26,11 @@ def sweep(db, engine):
     table = {}
     for first, second in PAIRS:
         for pool in POOLS:
-            plan = MultiStepPlan(steps=[(first, pool), (second, 10)])
+            plan = CascadeStrategy.from_steps([(first, pool), (second, 10)])
             recalls = []
             for query_id in queries:
                 relevant = set(db.relevant_to(query_id))
-                res = multi_step_search(engine, query_id, plan)
+                res = run_cascade(engine, query_id, plan).results
                 recalls.append(
                     len(relevant & {r.shape_id for r in res}) / len(relevant)
                 )

@@ -14,18 +14,20 @@ from conftest import run_once
 
 from repro.evaluation import FEATURE_ORDER, one_query_per_group
 from repro.search import (
+    CascadeStrategy,
     CombinedSimilarity,
-    MultiStepPlan,
     combined_search,
-    multi_step_search,
     reconfigure_feature_weights,
+    run_cascade,
 )
 
 
 def sweep(eval_db, eval_engine, k=10):
     queries = one_query_per_group(eval_db)
     uniform = CombinedSimilarity.uniform(FEATURE_ORDER)
-    plan = MultiStepPlan(steps=[("moment_invariants", 30), ("geometric_params", k)])
+    plan = CascadeStrategy.from_steps(
+        [("moment_invariants", 30), ("geometric_params", k)]
+    )
 
     rows = {name: [] for name in ("best one-shot (pm)", "combined uniform",
                                   "combined + feedback", "multi-step mi->gp")}
@@ -54,7 +56,7 @@ def sweep(eval_db, eval_engine, k=10):
         else:
             rows["combined + feedback"].append(rows["combined uniform"][-1])
 
-        multi = multi_step_search(eval_engine, query_id, plan)
+        multi = run_cascade(eval_engine, query_id, plan).results
         rows["multi-step mi->gp"].append(recall([r.shape_id for r in multi]))
 
     return {name: float(np.mean(vals)) for name, vals in rows.items()}

@@ -74,11 +74,10 @@ def bracket_grid(bracket):
     return voxelize(bracket, resolution=32)
 
 
-@pytest.mark.parametrize("kernel", ["batched", "reference"])
-def test_perf_thinning_kernel(benchmark, bracket_grid, kernel):
+def test_perf_thinning(benchmark, bracket_grid):
     from repro.skeleton.thinning import thin
 
-    skel = benchmark(thin, bracket_grid, kernel=kernel)
+    skel = benchmark(thin, bracket_grid)
     assert skel.n_occupied >= 1
 
 
@@ -109,18 +108,9 @@ def test_perf_parallel_ingestion(benchmark, ingestion_batch, workers):
     assert len(db) == len(meshes)
 
 
-def test_perf_combined_search_scalar(benchmark, loaded_db_engine):
-    from repro.search import CombinedSimilarity, combined_search
+def test_perf_combined_search(benchmark, loaded_db_engine):
+    from repro.search import combined_search
 
     engine, combo, query_id = loaded_db_engine
     out = benchmark(combined_search, engine, query_id, combo, 10)
-    assert len(out) == 10
-
-
-def test_perf_combined_search_batch(benchmark, loaded_db_engine):
-    from repro.search import BatchScorer, CombinedSimilarity
-
-    engine, combo, query_id = loaded_db_engine
-    scorer = BatchScorer(engine)
-    out = benchmark(scorer.combined_search, query_id, combo, 10)
     assert len(out) == 10

@@ -10,7 +10,7 @@ Run:  python examples/part_library_search.py
 
 from repro.datasets import load_or_build_database
 from repro.evaluation import evaluate_retrieval
-from repro.search import MultiStepPlan, SearchEngine, multi_step_search
+from repro.search import CascadeStrategy, SearchEngine, run_cascade
 
 
 def main() -> None:
@@ -34,10 +34,10 @@ def main() -> None:
 
         # Multi-step: pool of 30 by moment invariants, filtered by
         # geometric parameters, top 10 presented.
-        plan = MultiStepPlan(
-            steps=[("moment_invariants", 30), ("geometric_params", 10)]
+        plan = CascadeStrategy.from_steps(
+            [("moment_invariants", 30), ("geometric_params", 10)]
         )
-        multi = multi_step_search(engine, query_id, plan)
+        multi = run_cascade(engine, query_id, plan).results
         pr = evaluate_retrieval([r.shape_id for r in multi], relevant)
         print(f"multi-step mi@30 -> gp@10:       "
               f"precision {pr.precision:.2f}  recall {pr.recall:.2f}")

@@ -153,7 +153,6 @@ def _cmd_build_db(args: argparse.Namespace) -> int:
             workers=args.workers,
             timeout=args.timeout,
             retries=args.retries,
-            pool=args.pool,
         )
         for err in result.errors:
             report.add(
@@ -444,12 +443,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             interval=args.watch_interval,
         )
         watcher.start()
-        print(f"jobs watcher draining {queue_path} every {args.watch_interval}s")
+        print(
+            f"jobs watcher draining {queue_path} every {args.watch_interval}s",
+            flush=True,
+        )
     host, port = server.address
     snap = snapshots.current
+    # Flushed: under --port 0 this line is the only report of the port,
+    # and a supervisor reading it through a pipe must not wait for exit.
     print(
         f"serving {len(snap.system.database)} shapes "
-        f"(generation {snap.generation}) on http://{host}:{port}"
+        f"(generation {snap.generation}) on http://{host}:{port}",
+        flush=True,
     )
     if snap.dropped_records:
         print(
@@ -660,18 +665,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="extra attempts after an extraction timeout or worker crash",
     )
-    p_build.add_argument(
-        "--pool",
-        choices=["persistent", "fork"],
-        default="persistent",
-        help="timeout-path worker strategy: reusable killable workers "
-        "(persistent) or one process per task (fork)",
-    )
     p_build.set_defaults(func=_cmd_build_db)
 
     p_bench = sub.add_parser(
         "bench",
-        help="time thinning/ingestion/query hot paths, write BENCH_<rev>.json",
+        help="time ingestion/query/service hot paths, write BENCH_<rev>.json",
     )
     p_bench.add_argument("--resolution", type=int, default=32)
     p_bench.add_argument("--shapes", type=int, default=16)
@@ -901,7 +899,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lint = sub.add_parser(
         "lint",
-        help="run the project static-analysis rules (RPL001-RPL007 and "
+        help="run the project static-analysis rules (RPL001-RPL006 and "
         "the flow-sensitive RPL100-RPL102); exit 1 on any unsuppressed, "
         "unbaselined finding",
     )

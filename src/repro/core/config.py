@@ -36,9 +36,6 @@ class SystemConfig:
     voxel_resolution: int = DEFAULT_VOXEL_RESOLUTION
     target_volume: float = DEFAULT_TARGET_VOLUME
     index_max_entries: int = 8
-    #: Per-feature-space R-tree shards for the 100k+ corpus tier; 0
-    #: (default) keeps one R-tree per feature space.
-    index_shards: int = 0
     weighting: str = RANGE_WEIGHTS
     browse_branching: int = 3
     browse_leaf_size: int = 6
@@ -62,10 +59,6 @@ class SystemConfig:
     #: Extra attempts after a worker timeout or crash (transient
     #: failures only; deterministic extraction errors never retry).
     extraction_retries: int = 1
-    #: Timeout-path worker strategy: ``"persistent"`` (default) serves
-    #: tasks from a reusable pool of killable workers, ``"fork"`` spawns
-    #: one process per task.
-    extraction_pool: str = "persistent"
     #: Pre-flight mesh validation during bulk ingestion (NaN vertices,
     #: degenerate faces, ...); invalid meshes are reported, not extracted.
     validate_meshes: bool = True
@@ -94,8 +87,6 @@ class SystemConfig:
             raise ValueError("target volume must be positive")
         if self.index_max_entries < 2:
             raise ValueError("index node capacity must be >= 2")
-        if self.index_shards < 0:
-            raise ValueError("index shards must be >= 0")
         if self.browse_branching < 2:
             raise ValueError("browse branching must be >= 2")
         if self.browse_leaf_size < 1:
@@ -108,8 +99,3 @@ class SystemConfig:
             raise ValueError("extraction timeout must be positive")
         if self.extraction_retries < 0:
             raise ValueError("extraction retries must be >= 0")
-        if self.extraction_pool not in ("persistent", "fork"):
-            raise ValueError(
-                "extraction pool must be 'persistent' or 'fork', "
-                f"got {self.extraction_pool!r}"
-            )

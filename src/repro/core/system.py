@@ -90,9 +90,7 @@ class ThreeDESS:
             )
         if database is None:
             database = ShapeDatabase(
-                pipeline,
-                index_max_entries=self.config.index_max_entries,
-                index_shards=self.config.index_shards,
+                pipeline, index_max_entries=self.config.index_max_entries
             )
         elif database.pipeline is None:
             database.pipeline = pipeline
@@ -112,7 +110,6 @@ class ThreeDESS:
         """Insert a shape: extract all feature vectors and index them."""
         with get_registry().timed("system.insert"):
             shape_id = self.database.insert_mesh(mesh, name=name, group=group)
-            self.engine.invalidate()
             self._hierarchies = {}
         return shape_id
 
@@ -146,9 +143,7 @@ class ThreeDESS:
                 degraded=self.config.degraded_inserts,
                 timeout=self.config.extraction_timeout,
                 retries=self.config.extraction_retries,
-                pool=self.config.extraction_pool,
             )
-            self.engine.invalidate()
             self._hierarchies = {}
         return result
 
@@ -171,7 +166,8 @@ class ThreeDESS:
 
         Subsumes the removed ``query_by_example`` (``mode="knn"``),
         ``query_by_threshold`` (``mode="threshold"``), and ``multi_step``
-        (``mode="multi_step"``) methods.  The response carries per-hit
+        (``mode="cascade"`` with ``CascadeStrategy.paper()``) methods.
+        The response carries per-hit
         provenance: distance, Eq. 4.4 similarity, whether the record is
         degraded, and the index-vs-linear retrieval path.  ``deadline``
         (used by the query service) bounds the work cooperatively; an
@@ -252,8 +248,10 @@ class ThreeDESS:
         """Drain the job queue against this system's database.
 
         Executes queued ``re-extract`` jobs (healing degraded records in
-        place, indexes updated); search caches are invalidated when any
-        job completes, so subsequent queries see the healed vectors.
+        place, indexes updated) and ``warm-cache`` jobs.  Similarity
+        measures are keyed on the store generation, so queries after a
+        heal see the healed vectors while a warmed cache survives; the
+        browse hierarchies are dropped when any job completes.
         Returns the :class:`~repro.jobs.runner.JobRunReport`.
         """
         from ..jobs import RE_EXTRACT, JobQueue, JobRunner, ReextractHandler
@@ -274,7 +272,6 @@ class ThreeDESS:
             if owned:
                 q.close()
         if report.done:
-            self.engine.invalidate()
             self._hierarchies = {}
         return report
 
@@ -334,7 +331,6 @@ class ThreeDESS:
             load_meshes=load_meshes,
             index_max_entries=cfg.index_max_entries,
             strict=strict,
-            index_shards=cfg.index_shards,
         )
         return cls(config=cfg, database=db)
 

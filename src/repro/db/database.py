@@ -18,7 +18,6 @@ from ..features.parallel import ParallelPipeline
 from ..features.pipeline import FeaturePipeline
 from ..geometry.mesh import TriangleMesh
 from ..index.rtree import RTree
-from ..index.sharded import ShardedRTree
 from ..obs import get_registry
 from .matrix_store import ColumnView, FeatureMatrixStore
 from .quantized import QuantizedColumn
@@ -31,9 +30,6 @@ from .storage import (
     salvage_records,
     save_records,
 )
-
-#: Either index flavour; they share the query/mutation surface.
-AnyIndex = Union[RTree, ShardedRTree]
 
 
 @dataclass
@@ -91,10 +87,6 @@ class ShapeDatabase:
         stored vectors (no new mesh inserts until a pipeline is attached).
     index_max_entries:
         R-tree node capacity.
-    index_shards:
-        When > 0, feature indexes are :class:`ShardedRTree` instances
-        with this many per-feature-space shards (the 100k+ tier);
-        ``0`` keeps the single R-tree per feature space.
 
     Feature vectors live twice: per record (the object path) and packed
     into the columnar :class:`FeatureMatrixStore` (one contiguous
@@ -103,7 +95,7 @@ class ShapeDatabase:
     so the packed scan and the legacy object path are bitwise
     interchangeable.  ``feature_matrix``/``feature_view`` are O(1) reads
     of the store; the store's ``generation`` counter lets consumers
-    (similarity measures, batch scorers) cache derived state and refresh
+    (similarity measures, quantized sidecars) cache derived state and refresh
     lazily after ``update_features``/``delete``.
     """
 
@@ -111,15 +103,11 @@ class ShapeDatabase:
         self,
         pipeline: Optional[FeaturePipeline] = None,
         index_max_entries: int = 8,
-        index_shards: int = 0,
     ) -> None:
-        if index_shards < 0:
-            raise ValueError(f"index_shards must be >= 0, got {index_shards}")
         self.pipeline = pipeline
         self.index_max_entries = int(index_max_entries)
-        self.index_shards = int(index_shards)
         self._records: Dict[int, ShapeRecord] = {}
-        self._indexes: Dict[str, AnyIndex] = {}
+        self._indexes: Dict[str, RTree] = {}
         self._matrix_store = FeatureMatrixStore()
         self._next_id = 1
         #: Records dropped by the last ``load(..., strict=False)`` salvage.
@@ -198,7 +186,6 @@ class ShapeDatabase:
         degraded: bool = True,
         timeout: Optional[float] = None,
         retries: int = 1,
-        pool: str = "persistent",
     ) -> BulkInsertResult:
         """Bulk insertion with optional parallel feature extraction.
 
@@ -213,10 +200,8 @@ class ShapeDatabase:
         ``validate`` runs the pre-flight mesh validator, ``degraded``
         keeps partial feature sets (the record is inserted with
         ``metadata["degraded"] = "1"`` plus per-feature failure codes),
-        ``timeout``/``retries`` bound each extraction's wall clock using
-        killable worker processes, and ``pool`` selects the timeout-path
-        strategy (``"persistent"`` reusable workers vs ``"fork"``
-        one-process-per-task).
+        and ``timeout``/``retries`` bound each extraction's wall clock
+        using killable worker processes.
         """
         if self.pipeline is None:
             raise RuntimeError(
@@ -235,7 +220,6 @@ class ShapeDatabase:
             retries=retries,
             validate=validate,
             degraded=degraded,
-            pool=pool,
         )
         metrics = get_registry()
         result = BulkInsertResult()
@@ -407,19 +391,10 @@ class ShapeDatabase:
                     fname, record.shape_id, vec, degraded=degraded
                 )
 
-    def _make_index(self, dim: int) -> AnyIndex:
-        if self.index_shards > 0:
-            return ShardedRTree(
-                dim,
-                shards=self.index_shards,
-                max_entries=self.index_max_entries,
-            )
-        return RTree(dim, max_entries=self.index_max_entries)
-
-    def _index_for(self, feature_name: str, dim: int) -> AnyIndex:
+    def _index_for(self, feature_name: str, dim: int) -> RTree:
         index = self._indexes.get(feature_name)
         if index is None:
-            index = self._make_index(dim)
+            index = RTree(dim, max_entries=self.index_max_entries)
             self._indexes[feature_name] = index
         if index.dim != dim:
             raise ValueError(
@@ -435,8 +410,8 @@ class ShapeDatabase:
         """Whether an R-tree exists for one feature space."""
         return feature_name in self._indexes
 
-    def index(self, feature_name: str) -> AnyIndex:
-        """The R-tree (or sharded R-tree) over one feature space."""
+    def index(self, feature_name: str) -> RTree:
+        """The R-tree over one feature space."""
         try:
             return self._indexes[feature_name]
         except KeyError as exc:
@@ -454,7 +429,7 @@ class ShapeDatabase:
     def store_generation(self) -> int:
         """Monotonic counter bumped by every feature mutation.
 
-        Consumers key caches (similarity measures, batch matrices) on it
+        Consumers key caches (similarity measures, skeletal graphs) on it
         instead of needing explicit invalidation calls."""
         return self._matrix_store.generation
 
@@ -639,7 +614,6 @@ class ShapeDatabase:
         load_meshes: bool = True,
         index_max_entries: int = 8,
         strict: bool = True,
-        index_shards: int = 0,
         mmap_features: bool = True,
     ) -> "ShapeDatabase":
         """Restore a database directory, rebuilding all indexes.
@@ -656,11 +630,7 @@ class ShapeDatabase:
         the tier (or with a corrupt one, under salvage) rebuild the
         store from the records.
         """
-        db = cls(
-            pipeline=pipeline,
-            index_max_entries=index_max_entries,
-            index_shards=index_shards,
-        )
+        db = cls(pipeline=pipeline, index_max_entries=index_max_entries)
         dropped: List[DroppedRecord] = []
         if strict:
             records = load_records(directory, load_meshes=load_meshes)
@@ -739,9 +709,8 @@ class ShapeDatabase:
     def rebuild_indexes(self, bulk: bool = True) -> None:
         """Rebuild every feature index (STR bulk load by default).
 
-        With ``index_shards > 0`` the bulk path builds one
-        :class:`ShardedRTree` per feature space straight from the packed
-        matrix views; otherwise a single STR-packed :class:`RTree`.
+        The bulk path builds one STR-packed :class:`RTree` per feature
+        space straight from the packed matrix views.
         """
         self._indexes = {}
         if not self._records:
@@ -753,14 +722,6 @@ class ShapeDatabase:
             return
         for fname in self.feature_names():
             view = self.feature_view(fname)
-            if self.index_shards > 0:
-                self._indexes[fname] = ShardedRTree.bulk_load(
-                    view.matrix,
-                    view.id_list,
-                    shards=self.index_shards,
-                    max_entries=self.index_max_entries,
-                )
-            else:
-                self._indexes[fname] = RTree.bulk_load(
-                    view.matrix, view.id_list, max_entries=self.index_max_entries
-                )
+            self._indexes[fname] = RTree.bulk_load(
+                view.matrix, view.id_list, max_entries=self.index_max_entries
+            )

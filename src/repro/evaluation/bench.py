@@ -5,12 +5,8 @@ benchmarking survey makes the point at length); the ROADMAP's "fast as
 the hardware allows" goal needs a measured trajectory PR over PR.  This
 harness times the hot paths the system actually runs —
 
-* the **thinning kernel** (vectorized ``batched`` vs the ``reference``
-  per-voxel loop, identical-output asserted),
 * **ingestion throughput** (serial vs process-pool extraction at several
   worker counts, identical-database asserted),
-* the **timeout path** (persistent killable-worker pool vs the PR-3
-  fork-per-task strategy, identical-outcome asserted),
 * the **extraction stages** (normalize / voxelize / skeletonize medians,
   straight from the ``repro.obs`` timers),
 * **query latency** (indexed k-NN vs the vectorized linear fallback),
@@ -43,10 +39,8 @@ from ..db.database import ShapeDatabase
 from ..features.pipeline import FeaturePipeline
 from ..obs import get_registry
 from ..search.engine import SearchEngine
-from ..skeleton.thinning import thin
-from ..voxel.voxelize import voxelize
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: Extraction-stage histograms copied from the obs registry into the
 #: report (`median` = p50 over all observations of the serial run).
@@ -94,46 +88,6 @@ def _time(fn, repeats: int) -> List[float]:
 # ----------------------------------------------------------------------
 # Stages
 # ----------------------------------------------------------------------
-def bench_thinning(
-    meshes: Dict[str, "object"], resolution: int, repeats: int
-) -> Dict[str, object]:
-    """Vectorized vs reference thinning on solid voxelizations."""
-    grids = {}
-    for name, mesh in meshes.items():
-        grids[name] = voxelize(mesh, resolution=resolution)
-    # Warm the shared simple-point memo so neither kernel pays the
-    # first-run misses inside the timed region.
-    for grid in grids.values():
-        thin(grid, kernel="batched")
-
-    rows = []
-    for name, grid in grids.items():
-        reference = thin(grid, kernel="reference")
-        batched = thin(grid, kernel="batched")
-        identical = bool(
-            np.array_equal(reference.occupancy, batched.occupancy)
-        )
-        ref_s = _median(_time(lambda g=grid: thin(g, kernel="reference"), repeats))
-        bat_s = _median(_time(lambda g=grid: thin(g, kernel="batched"), repeats))
-        rows.append(
-            {
-                "grid": name,
-                "occupied_voxels": grid.n_occupied,
-                "reference_s": ref_s,
-                "batched_s": bat_s,
-                "speedup": ref_s / bat_s if bat_s > 0 else float("inf"),
-                "identical": identical,
-            }
-        )
-    return {
-        "resolution": resolution,
-        "repeats": repeats,
-        "grids": rows,
-        "median_speedup": _median([r["speedup"] for r in rows]),
-        "all_identical": all(r["identical"] for r in rows),
-    }
-
-
 def _build_db(meshes, names, groups, resolution: int, workers: int) -> ShapeDatabase:
     db = ShapeDatabase(FeaturePipeline(voxel_resolution=resolution))
     result = db.insert_meshes(meshes, names=names, groups=groups, workers=workers)
@@ -210,59 +164,6 @@ def bench_ingestion(
         "parallel": runs,
         "stages": stages,
         "_db": serial_db,  # consumed (and stripped) by run_bench
-    }
-
-
-def bench_timeout_pool(
-    meshes,
-    resolution: int,
-    repeats: int,
-    workers: int = 2,
-    task_timeout: float = 120.0,
-) -> Dict[str, object]:
-    """Deadline-bounded extraction: persistent pool vs fork-per-task.
-
-    Both strategies enforce the same per-task wall clock; the persistent
-    pool amortizes process spawn + pipeline construction across the
-    batch instead of paying them per shape.
-    """
-    from ..features.parallel import ParallelPipeline
-
-    def run_once(strategy: str):
-        pipeline = FeaturePipeline(voxel_resolution=resolution)
-        with ParallelPipeline(
-            pipeline,
-            workers=workers,
-            task_timeout=task_timeout,
-            pool=strategy,
-        ) as par:
-            return par.extract_batch(meshes)
-
-    medians: Dict[str, float] = {}
-    states: Dict[str, object] = {}
-    for strategy in ("fork", "persistent"):
-        outcomes = run_once(strategy)
-        if any(not o.ok for o in outcomes):  # pragma: no cover
-            raise RuntimeError(f"timeout-pool bench failed under {strategy}")
-        states[strategy] = [
-            {k: v.tobytes() for k, v in sorted(o.features.items())}
-            for o in outcomes
-        ]
-        medians[strategy] = _median(
-            _time(lambda s=strategy: run_once(s), repeats)
-        )
-    fork_s, persistent_s = medians["fork"], medians["persistent"]
-    return {
-        "n_shapes": len(meshes),
-        "workers": workers,
-        "task_timeout_s": task_timeout,
-        "repeats": repeats,
-        "fork_s": fork_s,
-        "persistent_s": persistent_s,
-        "speedup_persistent_vs_fork": (
-            fork_s / persistent_s if persistent_s > 0 else float("inf")
-        ),
-        "identical_outcomes": states["fork"] == states["persistent"],
     }
 
 
@@ -646,31 +547,16 @@ def run_bench(
     if quick:
         resolution, n_shapes, worker_counts, repeats = 12, 6, (1, 2), 1
 
-    corpus_full = build_corpus(seed)
-    corpus = corpus_full[:n_shapes]
+    corpus = build_corpus(seed)[:n_shapes]
     meshes = [shape.mesh for shape in corpus]
     names = [shape.name for shape in corpus]
     groups = [shape.group for shape in corpus]
 
-    # A handful of topologically distinct solids for the thinning stage:
-    # the first member of each of the first four similarity groups.
-    thinning_meshes: Dict[str, object] = {}
-    seen_groups = set()
-    for shape in corpus_full:
-        if shape.group is None or shape.group in seen_groups:
-            continue
-        seen_groups.add(shape.group)
-        thinning_meshes[shape.name] = shape.mesh
-        if len(thinning_meshes) == 4:
-            break
-
     started = time.time()
-    thinning = bench_thinning(thinning_meshes, resolution=resolution, repeats=repeats)
     ingestion = bench_ingestion(
         meshes, names, groups, resolution, worker_counts, repeats=repeats
     )
     db = ingestion.pop("_db")
-    timeout_pool = bench_timeout_pool(meshes, resolution, repeats=repeats)
     query = bench_query(db, repeats=10 if quick else 20)
     service = bench_service(
         db,
@@ -715,9 +601,7 @@ def run_bench(
             "worker_counts": list(worker_counts),
             "repeats": repeats,
         },
-        "thinning": thinning,
         "ingestion": ingestion,
-        "timeout_pool": timeout_pool,
         "query": query,
         "service": service,
     }
@@ -737,7 +621,6 @@ def write_bench(report: Dict[str, object], path: str) -> None:
 
 def format_summary(report: Dict[str, object]) -> str:
     """Human-readable digest of a bench report."""
-    thin_part = report["thinning"]
     ing = report["ingestion"]
     query = report["query"]
     lines = [
@@ -745,36 +628,15 @@ def format_summary(report: Dict[str, object]) -> str:
         f"(res {report['params']['resolution']}, "
         f"{ing['n_shapes']} shapes, cpu_count={report['machine']['cpu_count']})",
         "",
-        f"thinning: median speedup {thin_part['median_speedup']:.1f}x "
-        f"(batched vs reference kernel, identical={thin_part['all_identical']})",
-    ]
-    for row in thin_part["grids"]:
-        lines.append(
-            f"  {row['grid']:<22s} {row['reference_s'] * 1e3:8.1f} ms -> "
-            f"{row['batched_s'] * 1e3:7.1f} ms  ({row['speedup']:.1f}x)"
-        )
-    lines.append("")
-    lines.append(
         f"ingestion: serial {ing['serial_s']:.2f} s "
-        f"({ing['serial_shapes_per_s']:.2f} shapes/s)"
-    )
+        f"({ing['serial_shapes_per_s']:.2f} shapes/s)",
+    ]
     for row in ing["parallel"]:
         lines.append(
             f"  workers={row['workers']}: {row['seconds']:.2f} s "
             f"({row['shapes_per_s']:.2f} shapes/s, "
             f"{row['speedup_vs_serial']:.2f}x vs serial, "
             f"identical={row['identical_to_serial']})"
-        )
-    pool = report.get("timeout_pool")
-    if pool:
-        lines.append("")
-        lines.append(
-            f"timeout path ({pool['workers']} workers, "
-            f"{pool['n_shapes']} shapes): "
-            f"fork-per-task {pool['fork_s']:.2f} s -> "
-            f"persistent pool {pool['persistent_s']:.2f} s "
-            f"({pool['speedup_persistent_vs_fork']:.2f}x, "
-            f"identical={pool['identical_outcomes']})"
         )
     lines.append("")
     lines.append(

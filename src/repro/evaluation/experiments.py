@@ -26,8 +26,8 @@ import numpy as np
 from ..db.database import ShapeDatabase
 from ..index.bruteforce import LinearScanIndex
 from ..index.rtree import RTree
+from ..search.cascade import CascadeStrategy, run_cascade
 from ..search.engine import SearchEngine
-from ..search.multistep import MultiStepPlan, multi_step_search
 from .metrics import evaluate_retrieval
 from .pr_curve import PRCurve, precision_recall_curve
 
@@ -272,7 +272,9 @@ def exp_multistep_example(
         relevant = db.relevant_to(query_id)
         one_shot = engine.search_knn(query_id, "principal_moments", k=present)
         pr_one = evaluate_retrieval([r.shape_id for r in one_shot], relevant)
-        multi = multi_step_search(engine, query_id, MultiStepPlan(plan_steps))
+        multi = run_cascade(
+            engine, query_id, CascadeStrategy.from_steps(plan_steps)
+        ).results
         pr_multi = evaluate_retrieval([r.shape_id for r in multi], relevant)
         if chosen is None:
             chosen = (query_id, pr_one, pr_multi)
@@ -389,8 +391,10 @@ def exp_average_recall(
             at_ten[fname].append(_recall_of(engine, query_id, [r.shape_id for r in res10]))
 
         def run_plan(steps: List[Tuple[str, int]], final_k: int) -> float:
-            plan = MultiStepPlan(steps[:-1] + [(steps[-1][0], final_k)])
-            res = multi_step_search(engine, query_id, plan)
+            plan = CascadeStrategy.from_steps(
+                steps[:-1] + [(steps[-1][0], final_k)]
+            )
+            res = run_cascade(engine, query_id, plan).results
             return _recall_of(engine, query_id, [r.shape_id for r in res])
 
         fixed = plans[0]
@@ -459,8 +463,8 @@ def exp_effectiveness_at_10(
             pr = evaluate_retrieval([r.shape_id for r in res], relevant)
             precision[fname].append(pr.precision)
             recall[fname].append(pr.recall)
-        plan = MultiStepPlan(fixed[:-1] + [(fixed[-1][0], k)])
-        res = multi_step_search(engine, query_id, plan)
+        plan = CascadeStrategy.from_steps(fixed[:-1] + [(fixed[-1][0], k)])
+        res = run_cascade(engine, query_id, plan).results
         pr = evaluate_retrieval([r.shape_id for r in res], relevant)
         ms_p.append(pr.precision)
         ms_r.append(pr.recall)

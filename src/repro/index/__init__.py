@@ -1,16 +1,13 @@
-"""Multidimensional indexing: R-tree, sharded R-tree, linear baseline."""
+"""Multidimensional indexing: R-tree, linear baseline."""
 
 from .bruteforce import LinearScanIndex
 from .rect import Rect, bounding_rect
 from .rtree import DEFAULT_MAX_ENTRIES, RTree
-from .sharded import DEFAULT_SHARDS, ShardedRTree
 
 __all__ = [
     "Rect",
     "bounding_rect",
     "RTree",
-    "ShardedRTree",
     "LinearScanIndex",
     "DEFAULT_MAX_ENTRIES",
-    "DEFAULT_SHARDS",
 ]

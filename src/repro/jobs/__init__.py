@@ -5,8 +5,8 @@ Two building blocks, both reusable outside their first clients:
 * :mod:`repro.jobs.pool` — a persistent pool of *killable* worker
   processes: per-task deadlines enforced by SIGKILLing (and respawning)
   only the offending worker, bounded retry-on-fresh-worker, deterministic
-  failures returned without costing a process.  Replaces the
-  fork-per-task timeout path of :class:`repro.features.parallel.ParallelPipeline`.
+  failures returned without costing a process.  Every parallel batch of
+  :class:`repro.features.parallel.ParallelPipeline` runs on it.
 * :mod:`repro.jobs.queue` + :mod:`repro.jobs.runner` — a durable job
   queue (JSON-lines journal, crash-safe resume) and the runner that
   drains it.  The built-in ``re-extract`` job type heals degraded

@@ -8,8 +8,7 @@ the cross-cutting contracts earlier PRs established by convention:
 * ``RPL003`` — exit codes come from an ``ExitCode`` enum, not literals;
 * ``RPL004`` — no internal callers of the deprecated facade queries;
 * ``RPL005`` — job handlers / pool factories must be picklable;
-* ``RPL006`` — pipeline-stage raises use the error taxonomy;
-* ``RPL007`` — no internal callers of the ``mode="multi_step"`` shim.
+* ``RPL006`` — pipeline-stage raises use the error taxonomy.
 
 A flow-sensitive tier (:mod:`repro.lint.cfg` control-flow graphs +
 :mod:`repro.lint.flow` dataflow fixpoints) backs three further rules:

@@ -42,7 +42,7 @@ def _split_codes(value: Optional[str]) -> Optional[List[str]]:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="three-dess lint",
-        description="project static analysis (AST rules RPL001-RPL007 "
+        description="project static analysis (AST rules RPL001-RPL006 "
         "plus the flow-sensitive RPL100-RPL102); see "
         "docs/STATIC_ANALYSIS.md",
     )

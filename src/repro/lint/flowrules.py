@@ -78,9 +78,7 @@ _EXEMPT_METHODS = frozenset({"__init__", "__new__", "__post_init__", "__del__"})
 #: Cross-module callables known to accept a ``deadline`` (RPL101);
 #: same-module deadline-aware functions are discovered from their
 #: signatures instead of listed here.
-_DEADLINE_AWARE_CALLEES = frozenset(
-    {"execute_search", "run_cascade", "run_multi_step"}
-)
+_DEADLINE_AWARE_CALLEES = frozenset({"execute_search", "run_cascade"})
 
 #: ``Deadline`` method calls that constitute a local deadline check.
 _DEADLINE_CHECKS = frozenset({"check", "expired", "remaining"})

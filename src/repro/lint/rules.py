@@ -1,4 +1,4 @@
-"""The project rules (``RPL001``–``RPL007``).
+"""The project rules (``RPL001``–``RPL006``).
 
 Each rule encodes one cross-cutting contract established by earlier
 PRs; see ``docs/STATIC_ANALYSIS.md`` for the catalog with rationale and
@@ -426,55 +426,4 @@ def check_stage_raises(module: ModuleSource) -> Iterator[Diagnostic]:
                 "`repro.robust.errors` taxonomy class (e.g. "
                 "`InvalidParameterError`, `VoxelizationError`) so failures "
                 "carry a machine-readable stage/code",
-            )
-
-
-# ----------------------------------------------------------------------
-# RPL007 — no internal callers of the multi_step search-mode shim
-# ----------------------------------------------------------------------
-def _mode_is_multi_step(call: ast.Call) -> bool:
-    for kw in call.keywords:
-        if (
-            kw.arg == "mode"
-            and isinstance(kw.value, ast.Constant)
-            and kw.value.value == "multi_step"
-        ):
-            return True
-    return False
-
-
-@rule(
-    "RPL007",
-    "multi-step-mode-shim",
-    'internal code must not construct `SearchRequest(mode="multi_step")` '
-    "— the shim exists for external callers only",
-)
-def check_multi_step_shim(module: ModuleSource) -> Iterator[Diagnostic]:
-    """The ``multi_step`` mode is a deprecation shim: it warns and runs
-    the equivalent cascade.  Internal code (and the examples users copy)
-    must express the plan directly as ``mode="cascade"`` with a
-    :class:`CascadeStrategy` so the shim can eventually be removed.
-    Both direct construction and ``search(..., mode="multi_step")``
-    keyword calls are flagged; only a literal mode string triggers, so
-    protocol decoders that thread a client-sent mode through are exempt.
-    """
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call) or not _mode_is_multi_step(node):
-            continue
-        func = node.func
-        name = (
-            func.id
-            if isinstance(func, ast.Name)
-            else func.attr
-            if isinstance(func, ast.Attribute)
-            else None
-        )
-        if name in ("SearchRequest", "search"):
-            yield _diag(
-                module,
-                "RPL007",
-                node,
-                f'`{name}(mode="multi_step")` uses the deprecated shim; '
-                'build the equivalent cascade with `mode="cascade"` and '
-                "`CascadeStrategy.from_steps(...)`",
             )

@@ -174,8 +174,7 @@ CATALOG: Tuple[MetricSpec, ...] = (
         "skeleton.thin",
         "histogram",
         "skeleton/thinning.py",
-        "one `thin()` call, whichever kernel (the benchable unit inside "
-        "`pipeline.skeletonize`)",
+        "one `thin()` call (the benchable unit inside `pipeline.skeletonize`)",
         _PIPELINE,
     ),
     MetricSpec(
@@ -265,13 +264,6 @@ CATALOG: Tuple[MetricSpec, ...] = (
         _SEARCH,
     ),
     MetricSpec(
-        "search.multistep",
-        "histogram",
-        "search/multistep.py",
-        "one whole multi-step plan (pool retrieval + all filter steps)",
-        _SEARCH,
-    ),
-    MetricSpec(
         "search.queries",
         "counter",
         "search/engine.py",
@@ -294,13 +286,6 @@ CATALOG: Tuple[MetricSpec, ...] = (
         _SEARCH,
     ),
     MetricSpec(
-        "search.multistep.steps",
-        "counter",
-        "search/multistep.py",
-        "total steps executed across multi-step plans",
-        _SEARCH,
-    ),
-    MetricSpec(
         "cascade.run",
         "histogram",
         "search/cascade.py",
@@ -318,8 +303,7 @@ CATALOG: Tuple[MetricSpec, ...] = (
         "cascade.queries",
         "counter",
         "search/cascade.py",
-        "cascade retrievals run (`mode=\"cascade\"` plus the deprecated "
-        "`multi_step` shim)",
+        "cascade retrievals run",
         _SEARCH,
     ),
     MetricSpec(
@@ -333,7 +317,7 @@ CATALOG: Tuple[MetricSpec, ...] = (
         "cascade.exact_scans",
         "counter",
         "search/cascade.py",
-        "stage-1 scans run at full precision (exact mode / shim)",
+        "stage-1 scans run at full precision (exact mode, e.g. `from_steps`)",
         _SEARCH,
     ),
     MetricSpec(

@@ -77,7 +77,7 @@ class ReproError(Exception):
 
 class InvalidParameterError(ReproError, ValueError):
     """A caller passed an out-of-contract argument to a pipeline stage
-    (bad thinning kernel name, non-positive resolution, ...).
+    (unknown skeletal entity type, non-positive resolution, ...).
 
     Deterministic and never retryable: the *call*, not the worker or the
     input geometry, is wrong.  Also a ``ValueError`` so historical

@@ -7,9 +7,10 @@ from .api import (
     SearchResponse,
     execute_search,
 )
-from .batch import BatchScorer
 from .cascade import (
     CASCADE_STAGE_KINDS,
+    PAPER_POOL_SIZE,
+    PAPER_PRESENT,
     CascadeOutcome,
     CascadeStage,
     CascadeStrategy,
@@ -27,13 +28,6 @@ from .feedback import (
     RelevanceFeedbackSession,
     reconfigure_weights,
     reconstruct_query,
-)
-from .multistep import (
-    PAPER_POOL_SIZE,
-    PAPER_PRESENT,
-    MultiStepPlan,
-    multi_step_search,
-    one_shot_search,
 )
 from .similarity import (
     RANGE_WEIGHTS,
@@ -61,7 +55,6 @@ __all__ = [
     "combined_search",
     "reconfigure_feature_weights",
     "CombinedFeedbackSession",
-    "BatchScorer",
     "SearchResult",
     "SimilarityMeasure",
     "weighted_distance",
@@ -69,9 +62,6 @@ __all__ = [
     "range_weights",
     "RANGE_WEIGHTS",
     "UNIFORM_WEIGHTS",
-    "MultiStepPlan",
-    "multi_step_search",
-    "one_shot_search",
     "PAPER_POOL_SIZE",
     "PAPER_PRESENT",
     "reconstruct_query",

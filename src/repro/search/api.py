@@ -15,7 +15,9 @@ whether the hit is a degraded record (partial feature set — see
 R-tree index or the vectorized linear-scan fallback.
 
 The legacy facade methods (``query_by_example`` / ``query_by_threshold``
-/ ``multi_step``) were removed after a one-PR deprecation cycle; the
+/ ``multi_step``) were removed after a one-PR deprecation cycle, and the
+``mode="multi_step"`` alias after them (the paper's multi-step strategy
+is ``mode="cascade"`` with :meth:`CascadeStrategy.from_steps`); the
 migration table in ``docs/API.md`` records the mapping.
 
 Searches accept an optional :class:`~repro.robust.Deadline`: the budget
@@ -26,7 +28,6 @@ enforces per-request timeouts.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
@@ -42,9 +43,8 @@ __all__ = [
     "execute_search",
 ]
 
-#: Supported values of :attr:`SearchRequest.mode`.  ``"multi_step"`` is a
-#: deprecated alias: it executes as the equivalent two-stage cascade.
-SEARCH_MODES = ("knn", "threshold", "multi_step", "cascade")
+#: Supported values of :attr:`SearchRequest.mode`.
+SEARCH_MODES = ("knn", "threshold", "cascade")
 
 
 @dataclass(frozen=True)
@@ -58,22 +58,17 @@ class SearchRequest:
         feature vector (resolved per Fig. 2 of the paper).
     mode:
         ``"knn"`` (k most similar), ``"threshold"`` (every shape whose
-        Eq. 4.4 similarity exceeds ``threshold``), ``"cascade"``
-        (staged retrieval under a :class:`CascadeStrategy`), or the
-        deprecated ``"multi_step"`` alias (Section 4.2 pool-then-filter,
-        now executed as the equivalent cascade).
+        Eq. 4.4 similarity exceeds ``threshold``), or ``"cascade"``
+        (staged retrieval under a :class:`CascadeStrategy`; the paper's
+        Section 4.2 multi-step strategy is
+        :meth:`CascadeStrategy.paper`).
     feature_name:
         Feature space for ``knn``/``threshold`` modes, and for the
-        default cascade strategy when ``strategy`` is None (ignored by
-        ``multi_step``, which takes its spaces from ``steps``).
+        default cascade strategy when ``strategy`` is None.
     k:
         Result budget for ``knn`` mode and the default cascade strategy.
     threshold:
         Similarity cutoff in [0, 1] for ``threshold`` mode.
-    steps:
-        Optional ``(feature_name, keep)`` pairs for ``multi_step`` mode;
-        None uses the paper's plan (pool of 30 under moment invariants,
-        top 10 reranked by geometric parameters).
     strategy:
         Optional :class:`CascadeStrategy` for ``cascade`` mode; None
         builds the default two-stage cascade (quantized scan over
@@ -93,7 +88,6 @@ class SearchRequest:
     feature_name: str = "principal_moments"
     k: int = 10
     threshold: float = 0.9
-    steps: Optional[Tuple[Tuple[str, int], ...]] = None
     strategy: Optional[CascadeStrategy] = None
     exclude_query: bool = True
     use_index: bool = True
@@ -121,14 +115,6 @@ class SearchRequest:
                     f"strategy is only valid with mode='cascade', "
                     f"not {self.mode!r}"
                 )
-        if self.steps is not None:
-            # Normalize to a tuple of tuples so the request stays
-            # hashable/frozen even when built from lists.
-            object.__setattr__(
-                self,
-                "steps",
-                tuple((str(name), int(keep)) for name, keep in self.steps),
-            )
 
 
 @dataclass(frozen=True)
@@ -212,32 +198,11 @@ def execute_search(
     ``deadline`` (if given) bounds the work: it is checked cooperatively
     at engine stage boundaries and raises
     :class:`~repro.robust.DeadlineExceededError` once spent.
-
-    ``mode="multi_step"`` is a deprecation shim: it warns and runs the
-    equivalent cascade (exact scan over the first step's feature, then
-    one rerank per later step) — identical ids, distances and ordering
-    to the removed ``multi_step_search`` linear path.
     """
-    if request.mode in ("cascade", "multi_step"):
-        if request.mode == "multi_step":
-            warnings.warn(
-                "SearchRequest(mode='multi_step') is deprecated; use "
-                "mode='cascade' with a CascadeStrategy (see docs/SEARCH.md). "
-                "This request runs as the equivalent cascade.",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if request.steps is not None and len(request.steps) < 2:
-                raise ValueError("a multi-step plan needs at least two steps")
-            strategy = (
-                CascadeStrategy.from_steps(request.steps)
-                if request.steps is not None
-                else CascadeStrategy.paper()
-            )
-        else:
-            strategy = request.strategy or CascadeStrategy.default(
-                request.feature_name, request.k
-            )
+    if request.mode == "cascade":
+        strategy = request.strategy or CascadeStrategy.default(
+            request.feature_name, request.k
+        )
         outcome = run_cascade(
             engine,
             request.query,

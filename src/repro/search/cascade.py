@@ -42,9 +42,10 @@ from ..obs import get_registry
 from ..robust.deadline import Deadline
 from ..db.quantized import approx_weighted_sq_distances
 from .engine import Query, SearchEngine, SearchResult, _check_deadline
-from .multistep import PAPER_POOL_SIZE, PAPER_PRESENT
 
 __all__ = [
+    "PAPER_POOL_SIZE",
+    "PAPER_PRESENT",
     "CASCADE_STAGE_KINDS",
     "CascadeStage",
     "CascadeStrategy",
@@ -58,6 +59,11 @@ CASCADE_STAGE_KINDS = ("scan", "rerank", "graph")
 
 #: Default survivor pool when a default strategy is built for k results.
 DEFAULT_POOL_FACTOR = 4
+
+#: The paper's multi-step configuration (Section 4.2, Figures 13-15): a
+#: pool of thirty under one feature vector, ten presented after rerank.
+PAPER_POOL_SIZE = 30
+PAPER_PRESENT = 10
 
 #: Per-candidate GED timeout for the graph stage (seconds).
 GRAPH_STAGE_GED_TIMEOUT = 1.0
@@ -247,12 +253,12 @@ class CascadeStrategy:
     def from_steps(
         cls, steps: Sequence[Tuple[str, int]]
     ) -> "CascadeStrategy":
-        """The cascade equivalent of a legacy multi-step plan.
+        """The paper's multi-step strategy (Section 4.2) as a cascade.
 
-        The first (feature, keep) step becomes an exact scan, every
-        later step a rerank — semantics identical to
-        :func:`repro.search.multistep.multi_step_search` on the linear
-        path.
+        The first (feature, keep) step becomes an exact scan that pools
+        ``keep`` shapes under its feature vector; every later step
+        reranks the survivors under its own feature vector and keeps
+        its ``keep``.
         """
         if len(steps) < 1:
             raise ValueError("from_steps needs at least one (feature, keep) step")

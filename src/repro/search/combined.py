@@ -65,6 +65,11 @@ def combined_search(
     combination weights.  The per-feature similarity normalization is what
     makes the linear combination meaningful (all terms live in [0, 1]).
 
+    Each feature's packed column is scored in one vectorized pass and
+    accumulated per id in the combination's order, so every score is
+    the same float arithmetic as a record-by-record loop; ties rank by
+    ascending id.
+
     Degraded records (partial feature sets) stay searchable: a record is
     scored with the combination weights renormalized over the features it
     actually carries, instead of raising ``KeyError`` for the missing
@@ -81,25 +86,29 @@ def combined_search(
         name: engine.resolve_query_vector(query, name)
         for name in combination.feature_names()
     }
-    scores: Dict[int, float] = {}
-    for record in db:
-        if record.shape_id == exclude:
-            continue
-        total = 0.0
-        available = 0.0
-        for name, weight in combination.weights.items():
-            if name not in record.features:
-                continue
-            available += weight
-            measure = engine.measure(name)
-            total += weight * measure.similarity(
-                query_vectors[name], record.feature(name)
-            )
-        scores[record.shape_id] = total / available if available > 0 else 0.0
+    ids = np.asarray(db.ids(), dtype=np.int64)
+    total = np.zeros(len(ids))
+    available = np.zeros(len(ids))
+    for name, weight in combination.weights.items():
+        try:
+            view = db.feature_view(name)
+        except KeyError:
+            continue  # no stored shape carries this feature
+        rows = np.searchsorted(ids, view.ids)
+        sims = engine.measure(name).similarities(query_vectors[name], view.matrix)
+        total[rows] += weight * sims
+        available[rows] += weight
+    scores = np.divide(
+        total, available, out=np.zeros(len(ids)), where=available > 0
+    )
 
-    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+    order = np.lexsort((ids, -scores))
+    if exclude is not None:
+        order = order[ids[order] != exclude]
     results = []
-    for rank, (shape_id, sim) in enumerate(ranked, start=1):
+    for rank, row in enumerate(order[:k], start=1):
+        shape_id = int(ids[row])
+        sim = float(scores[row])
         record = db.get(shape_id)
         results.append(
             SearchResult(

@@ -77,13 +77,6 @@ class SearchEngine:
             self._measures[feature_name] = cached
         return cached[1]
 
-    def invalidate(self) -> None:
-        """Drop cached similarity measures.
-
-        Kept for API compatibility; the generation-keyed cache in
-        :meth:`measure` already refreshes itself after mutations."""
-        self._measures = {}
-
     # ------------------------------------------------------------------
     def resolve_query_vector(self, query: Query, feature_name: str) -> np.ndarray:
         """Fig. 2's "shape in DB?" branch.

@@ -503,7 +503,6 @@ class ServiceClient:
         feature_name: str = "principal_moments",
         k: int = 10,
         threshold: float = 0.9,
-        steps: Optional[Sequence[Tuple[str, int]]] = None,
         strategy: Optional[
             Union[CascadeStrategy, Sequence[Dict[str, Any]]]
         ] = None,
@@ -550,8 +549,6 @@ class ServiceClient:
                 }
             else:
                 body["mesh"] = mesh
-        if steps is not None:
-            body["steps"] = [[str(name), int(keep)] for name, keep in steps]
         if strategy is not None:
             if isinstance(strategy, CascadeStrategy):
                 body["strategy"] = strategy.to_wire()

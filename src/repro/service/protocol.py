@@ -65,7 +65,6 @@ _REQUEST_FIELDS = frozenset(
         "feature_name",
         "k",
         "threshold",
-        "steps",
         "strategy",
         "exclude_query",
         "use_index",
@@ -152,14 +151,6 @@ def decode_request(
         raise ProtocolError(
             f"unknown mode {mode!r}; expected one of {', '.join(SEARCH_MODES)}"
         )
-    steps = payload.get("steps")
-    if steps is not None:
-        try:
-            steps = tuple((str(name), int(keep)) for name, keep in steps)
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(
-                "steps must be a list of [feature_name, keep] pairs"
-            ) from exc
     strategy = payload.get("strategy")
     if strategy is not None:
         if wire_v < 2:
@@ -188,7 +179,6 @@ def decode_request(
             feature_name=str(payload.get("feature_name", "principal_moments")),
             k=int(payload.get("k", 10)),
             threshold=float(payload.get("threshold", 0.9)),
-            steps=steps,
             strategy=strategy,
             exclude_query=bool(payload.get("exclude_query", True)),
             use_index=bool(payload.get("use_index", True)),

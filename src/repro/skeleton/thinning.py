@@ -6,20 +6,18 @@ Deletions within a subiteration are applied sequentially with the
 neighborhood re-examined before each removal, which is the standard safe
 variant that guarantees topology preservation for (26, 6) connectivity.
 
-Two kernels implement the same sequential-deletion semantics:
+:func:`thin` packs every voxel's 3x3x3 neighborhood into a 26-bit mask
+in one NumPy pass — a shifted-array accumulation into a uint32 volume —
+and keeps the packed volume current by clearing one bit in each of the
+26 neighbor masks whenever a voxel is deleted.  The per-candidate work
+drops to an array load plus a memoized simple-point lookup, which is
+what makes ``build-db`` fast at higher resolutions.
 
-* ``"batched"`` (default) packs every voxel's 3x3x3 neighborhood into a
-  26-bit mask in one NumPy pass — a shifted-array accumulation into a
-  uint32 volume — and keeps the packed volume current by clearing one bit
-  in each of the 26 neighbor masks whenever a voxel is deleted.  The
-  per-candidate work drops to an array load plus a memoized simple-point
-  lookup, which is what makes ``build-db`` fast at higher resolutions.
-* ``"reference"`` is the original per-voxel loop
-  (:func:`~repro.skeleton.simple_point.neighborhood_mask` per candidate).
-  It is kept as the correctness oracle: both kernels re-check a
-  candidate's mask against the *current* occupancy before deleting, so
-  their outputs are bitwise identical (asserted by the test suite and the
-  ``three-dess bench`` thinning stage).
+``_thin_reference`` is the original per-voxel loop
+(:func:`~repro.skeleton.simple_point.neighborhood_mask` per candidate),
+kept as the correctness oracle: both re-check a candidate's mask against
+the *current* occupancy before deleting, so their outputs are bitwise
+identical (asserted by the test suite).
 
 The result is a one-voxel-wide curve skeleton suitable for skeletal-graph
 construction; like the thinning algorithm the paper uses, it preserves the
@@ -33,7 +31,7 @@ from typing import Tuple
 import numpy as np
 
 from ..obs import get_registry
-from ..robust.errors import InvalidParameterError, SkeletonizationError
+from ..robust.errors import SkeletonizationError
 from ..voxel.grid import VoxelGrid
 from .simple_point import (
     NEIGHBOR_OFFSETS,
@@ -176,17 +174,10 @@ def _thin_reference(
     )
 
 
-_KERNELS = {
-    "batched": _thin_batched,
-    "reference": _thin_reference,
-}
-
-
 def thin(
     grid: VoxelGrid,
     preserve_endpoints: bool = True,
     max_iterations: int = 10_000,
-    kernel: str = "batched",
 ) -> VoxelGrid:
     """Thin a solid voxel model to its curve skeleton.
 
@@ -199,22 +190,10 @@ def thin(
         handle).
     max_iterations:
         Safety bound on full sweeps (each sweep = 6 subiterations).
-    kernel:
-        ``"batched"`` (vectorized neighborhood packing, default) or
-        ``"reference"`` (the original per-voxel loop).  Both produce
-        bitwise-identical skeletons; the reference kernel exists for
-        verification and benchmarking.
     """
-    try:
-        run = _KERNELS[kernel]
-    except KeyError:
-        raise InvalidParameterError(
-            f"unknown thinning kernel {kernel!r}; choose from {sorted(_KERNELS)}",
-            code="usage.unknown_kernel",
-        ) from None
     metrics = get_registry()
     with metrics.timed("skeleton.thin"):
-        occ = run(grid.occupancy.copy(), preserve_endpoints, max_iterations)
+        occ = _thin_batched(grid.occupancy.copy(), preserve_endpoints, max_iterations)
     return VoxelGrid(occ, origin=grid.origin.copy(), spacing=grid.spacing)
 
 

@@ -31,7 +31,6 @@ from repro.search import (
     SearchEngine,
     run_cascade,
 )
-from repro.search.multistep import MultiStepPlan, multi_step_search
 
 FEATURE = "principal_moments"
 
@@ -573,20 +572,29 @@ class TestBudgets:
 
 
 # ----------------------------------------------------------------------
-# Legacy multi-step equivalence
+# Multi-step equivalence
 # ----------------------------------------------------------------------
 class TestMultiStepEquivalence:
     def test_from_steps_matches_multi_step_search(self, synth_engine):
+        """A two-feature ``from_steps`` cascade is the paper's multi-step
+        search: a linear k-NN pool under the first feature, reranked
+        under the second and cut to its keep."""
         steps = [("moment_invariants", 30), ("geometric_params", 10)]
-        outcome = run_cascade(
-            synth_engine, 9, CascadeStrategy.from_steps(steps)
-        )
-        legacy = multi_step_search(
-            synth_engine, 9, MultiStepPlan(steps=steps), use_index=False
-        )
-        assert [(r.shape_id, r.distance) for r in outcome.results] == [
-            (r.shape_id, r.distance) for r in legacy
-        ]
+        strategy = CascadeStrategy.from_steps(steps)
+        for query in (1, 9, 17, 33):
+            outcome = run_cascade(synth_engine, query, strategy)
+            pool = synth_engine.search_knn(
+                query, "moment_invariants", k=30, use_index=False
+            )
+            manual = synth_engine.rerank(
+                [r.shape_id for r in pool], query, "geometric_params"
+            )[:10]
+            assert [
+                (r.shape_id, r.distance, r.similarity, r.rank)
+                for r in outcome.results
+            ] == [
+                (r.shape_id, r.distance, r.similarity, r.rank) for r in manual
+            ]
 
 
 # ----------------------------------------------------------------------

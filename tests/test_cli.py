@@ -149,9 +149,11 @@ class TestCommands:
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "thinning" in out and "ingestion" in out
+        assert "ingestion" in out and "query" in out
         report = json.loads(out_path.read_text())
-        assert report["thinning"]["all_identical"]
+        assert all(
+            run["identical_to_serial"] for run in report["ingestion"]["parallel"]
+        )
         assert report["params"]["resolution"] == 8
 
     def test_build_db_parallel_with_cache(self, tmp_path, capsys, monkeypatch):

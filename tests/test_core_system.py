@@ -5,6 +5,7 @@ import pytest
 
 from repro import SystemConfig, ThreeDESS
 from repro.geometry import box, cylinder, torus
+from repro.search import CascadeStrategy
 from repro.search.api import SearchRequest
 
 
@@ -62,15 +63,21 @@ class TestFacade:
         assert len(hits) == 5
 
     def test_search_multi_step_default_plan(self, system):
-        hits = system.search(SearchRequest(query=1, mode="multi_step")).hits
+        hits = system.search(
+            SearchRequest(
+                query=1, mode="cascade", strategy=CascadeStrategy.paper()
+            )
+        ).hits
         assert len(hits) <= 10
 
     def test_search_multi_step_custom_plan(self, system):
         hits = system.search(
             SearchRequest(
                 query=1,
-                mode="multi_step",
-                steps=(("principal_moments", 4), ("geometric_params", 2)),
+                mode="cascade",
+                strategy=CascadeStrategy.from_steps(
+                    (("principal_moments", 4), ("geometric_params", 2))
+                ),
             )
         ).hits
         assert len(hits) == 2

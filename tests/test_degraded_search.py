@@ -13,9 +13,9 @@ from repro.db import ShapeDatabase
 from repro.features import FeaturePipeline
 from repro.geometry.primitives import box, cylinder, tube
 from repro.robust import SkeletonizationError
+from repro.search.cascade import CascadeStrategy, run_cascade
 from repro.search.combined import CombinedSimilarity, combined_search
 from repro.search.engine import SearchEngine
-from repro.search.multistep import MultiStepPlan, multi_step_search
 
 RES = 10
 
@@ -95,15 +95,15 @@ class TestRerankOverMixedRecords:
 
     def test_multistep_over_mixed_records(self, mixed_db):
         engine = SearchEngine(mixed_db)
-        plan = MultiStepPlan(
-            steps=[("moment_invariants", 5), ("eigenvalues", 4)]
+        plan = CascadeStrategy.from_steps(
+            [("moment_invariants", 5), ("eigenvalues", 4)]
         )
-        results = multi_step_search(engine, 1, plan)
+        results = run_cascade(engine, 1, plan).results
         assert results
         ranks = [r.rank for r in results]
         assert ranks == list(range(1, len(results) + 1))
         # Run twice: deterministic order over mixed records.
-        again = multi_step_search(engine, 1, plan)
+        again = run_cascade(engine, 1, plan).results
         assert [r.shape_id for r in results] == [r.shape_id for r in again]
 
 
@@ -154,3 +154,55 @@ class TestCombinedOverMixedRecords:
         results = combined_search(engine, 1, combo, k=10)
         sims = {r.shape_id: r.similarity for r in results}
         assert sims[7] == 0.0
+
+    def test_columns_of_equal_length_with_different_ids(self, mixed_db):
+        # Two records, each missing a different feature: both columns
+        # grow by one row, so they match in length but not in ids.  A
+        # score must follow its id, not its row position.
+        from repro.db import ShapeRecord
+
+        base = mixed_db.get(2).features
+        no_mi = mixed_db.insert_record(
+            ShapeRecord(
+                shape_id=0,
+                name="no_moment_invariants",
+                features={
+                    f: v * 1.05 for f, v in base.items() if f != "moment_invariants"
+                },
+            )
+        )
+        no_gp = mixed_db.insert_record(
+            ShapeRecord(
+                shape_id=0,
+                name="no_geometric_params",
+                features={
+                    f: v * 0.95 for f, v in base.items() if f != "geometric_params"
+                },
+            )
+        )
+        mi = mixed_db.feature_view("moment_invariants")
+        gp = mixed_db.feature_view("geometric_params")
+        assert len(mi) == len(gp)
+        assert list(mi.ids) != list(gp.ids)
+
+        engine = SearchEngine(mixed_db)
+        combo = CombinedSimilarity(
+            {"moment_invariants": 2.0, "geometric_params": 1.0, "eigenvalues": 1.0}
+        )
+        results = combined_search(engine, 1, combo, k=len(mixed_db))
+        assert {r.shape_id for r in results} == set(mixed_db.ids()) - {1}
+        assert {no_mi, no_gp} <= {r.shape_id for r in results}
+        query = mixed_db.get(1)
+        for r in results:
+            record = mixed_db.get(r.shape_id)
+            carried = [f for f in combo.weights if f in record.features]
+            blend = sum(
+                combo.weights[f]
+                * engine.measure(f).similarity(query.feature(f), record.feature(f))
+                for f in carried
+            )
+            assert r.similarity == blend / sum(combo.weights[f] for f in carried)
+        assert [r.shape_id for r in results] == [
+            r.shape_id
+            for r in sorted(results, key=lambda r: (-r.similarity, r.shape_id))
+        ]

@@ -12,7 +12,7 @@ import pytest
 from repro import SystemConfig, ThreeDESS
 from repro.datasets.families import FAMILIES
 from repro.geometry import volume
-from repro.search import CombinedSimilarity, combined_search
+from repro.search import CascadeStrategy, CombinedSimilarity, combined_search
 from repro.search.api import SearchRequest
 from repro.viewer import render_mesh
 
@@ -67,8 +67,10 @@ class TestQueryFlow:
         hits = library.search(
             SearchRequest(
                 query=query_mesh,
-                mode="multi_step",
-                steps=(("moment_invariants", 15), ("geometric_params", 5)),
+                mode="cascade",
+                strategy=CascadeStrategy.from_steps(
+                    (("moment_invariants", 15), ("geometric_params", 5))
+                ),
             )
         ).hits
         assert len(hits) == 5

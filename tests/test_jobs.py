@@ -489,28 +489,35 @@ class TestVerifyCli:
 
 class TestPersistentPoolIngestion:
     def test_pool_strategies_equivalent(self):
+        # The serial loop, the pool, and the pool under a deadline all
+        # produce bitwise-identical outcomes; only the deadline path can
+        # stop the hanging mesh.
         feature = register_sleeping_extractor()
-        meshes = [good_mesh(), hanging_mesh(), good_mesh(1.5)]
+        pipeline = FeaturePipeline(
+            feature_names=["geometric_params", feature],
+            voxel_resolution=RES,
+        )
+        meshes = [good_mesh(), good_mesh(1.5), good_mesh(2.0)]
         outcomes = {}
-        for strategy in ("persistent", "fork"):
-            pipeline = FeaturePipeline(
-                feature_names=["geometric_params", feature],
-                voxel_resolution=RES,
-            )
+        for label, workers, timeout in (
+            ("serial", 0, None),
+            ("pool", 2, None),
+            ("deadline", 2, 2.0),
+        ):
             with ParallelPipeline(
-                pipeline, workers=2, task_timeout=2.0, retries=1,
-                pool=strategy,
+                pipeline, workers=workers, task_timeout=timeout, retries=1
             ) as par:
-                outcomes[strategy] = par.extract_batch(meshes)
-        for a, b in zip(outcomes["persistent"], outcomes["fork"]):
-            assert a.ok == b.ok
-            if a.ok:
+                batch = meshes + [hanging_mesh()] if timeout else meshes
+                outcomes[label] = par.extract_batch(batch)
+        for label in ("pool", "deadline"):
+            for a, b in zip(outcomes["serial"], outcomes[label]):
+                assert a.ok and b.ok and a.index == b.index
                 assert sorted(a.features) == sorted(b.features)
                 for fname in a.features:
-                    np.testing.assert_allclose(a.features[fname], b.features[fname])
-            else:
-                assert a.failure.code == b.failure.code == "extract.timeout"
-                assert a.attempts == b.attempts == 2
+                    assert a.features[fname].tobytes() == b.features[fname].tobytes()
+        hung = outcomes["deadline"][-1]
+        assert hung.failure.code == "extract.timeout"
+        assert hung.attempts == 2
 
     def test_insert_meshes_persistent_pool(self):
         feature = register_sleeping_extractor()
@@ -525,14 +532,6 @@ class TestPersistentPoolIngestion:
             timeout=2.0,
             retries=0,
             degraded=False,
-            pool="persistent",
         )
         assert result.shape_ids == [1, None]
         assert result.errors[0].code == "extract.timeout"
-
-    def test_invalid_pool_rejected(self):
-        pipeline = FeaturePipeline(voxel_resolution=RES)
-        with pytest.raises(ValueError, match="pool"):
-            ParallelPipeline(pipeline, pool="magic")
-        with pytest.raises(ValueError, match="pool"):
-            SystemConfig(extraction_pool="magic").validate()

@@ -60,7 +60,6 @@ class TestCore:
             "RPL004",
             "RPL005",
             "RPL006",
-            "RPL007",
             "RPL100",
             "RPL101",
             "RPL102",
@@ -372,48 +371,6 @@ class TestRPL006:
 
 
 # ----------------------------------------------------------------------
-# RPL007 — no internal callers of the multi_step mode shim
-# ----------------------------------------------------------------------
-class TestRPL007:
-    def test_flags_search_request_construction(self):
-        diags, _ = run_rule(
-            "RPL007",
-            "SearchRequest(query=1, mode='multi_step', steps=[('a', 3)])\n",
-        )
-        assert codes(diags) == ["RPL007"]
-
-    def test_flags_search_method_call(self):
-        diags, _ = run_rule(
-            "RPL007",
-            "client.search(shape_id=1, mode='multi_step')\n",
-        )
-        assert codes(diags) == ["RPL007"]
-
-    def test_cascade_mode_is_clean(self):
-        diags, _ = run_rule(
-            "RPL007",
-            "SearchRequest(query=1, mode='cascade')\n",
-        )
-        assert diags == []
-
-    def test_dynamic_mode_is_exempt(self):
-        # Protocol decoders thread a client-sent mode through a variable;
-        # only literal shim construction is the project's own debt.
-        diags, _ = run_rule(
-            "RPL007",
-            "mode = payload.get('mode')\nSearchRequest(query=1, mode=mode)\n",
-        )
-        assert diags == []
-
-    def test_other_calls_with_mode_kw_are_exempt(self):
-        diags, _ = run_rule(
-            "RPL007",
-            "open_thing(path, mode='multi_step')\n",
-        )
-        assert diags == []
-
-
-# ----------------------------------------------------------------------
 # suppressions
 # ----------------------------------------------------------------------
 class TestSuppressions:
@@ -475,7 +432,7 @@ class TestSuppressions:
 # ----------------------------------------------------------------------
 class TestReportersAndCli:
     def _violations_tree(self, tmp_path):
-        """One seeded violation of each of the seven rules."""
+        """One seeded violation of each of the six AST rules."""
         stage = tmp_path / "voxel"
         stage.mkdir()
         (stage / "bad_stage.py").write_text("raise ValueError('x')\n")
@@ -489,11 +446,10 @@ class TestReportersAndCli:
             "sys.exit(1)\n"
             "system.query_by_example(q)\n"
             "runner.register('t', lambda job: None)\n"
-            "SearchRequest(query=1, mode='multi_step')\n"
         )
         return tmp_path
 
-    def test_seeded_violations_hit_all_seven_rules(self, tmp_path):
+    def test_seeded_violations_hit_every_ast_rule(self, tmp_path):
         report = lint_paths([str(self._violations_tree(tmp_path))])
         assert sorted(report.counts_by_code()) == [
             "RPL001",
@@ -502,7 +458,6 @@ class TestReportersAndCli:
             "RPL004",
             "RPL005",
             "RPL006",
-            "RPL007",
         ]
 
     def test_json_reporter_schema(self, tmp_path):
@@ -514,7 +469,6 @@ class TestReportersAndCli:
         assert isinstance(payload["suppressed"], int)
         assert set(payload["counts"]) == {
             "RPL001", "RPL002", "RPL003", "RPL004", "RPL005", "RPL006",
-            "RPL007",
         }
         for diag in payload["diagnostics"]:
             assert set(diag) == {"code", "path", "line", "col", "message"}
@@ -535,7 +489,7 @@ class TestReportersAndCli:
         tree = self._violations_tree(tmp_path)
         report = lint_paths([str(tree)], ignore=["RPL001", "RPL006"])
         assert set(report.counts_by_code()) == {
-            "RPL002", "RPL003", "RPL004", "RPL005", "RPL007",
+            "RPL002", "RPL003", "RPL004", "RPL005",
         }
 
     def test_cli_exit_codes(self, tmp_path, capsys):

@@ -309,6 +309,7 @@ class TestSystemIntegration:
     def test_multistep_metrics(self):
         from repro import SystemConfig, ThreeDESS
         from repro.geometry import box
+        from repro.search import CascadeStrategy
         from repro.search.api import SearchRequest
 
         system = ThreeDESS(SystemConfig(voxel_resolution=10))
@@ -318,12 +319,14 @@ class TestSystemIntegration:
         system.search(
             SearchRequest(
                 query=1,
-                mode="multi_step",
-                steps=(("principal_moments", 3), ("geometric_params", 2)),
+                mode="cascade",
+                strategy=CascadeStrategy.from_steps(
+                    (("principal_moments", 3), ("geometric_params", 2))
+                ),
             )
         )
-        # The multi_step shim now runs as a cascade, so the cascade
-        # metrics (not the legacy search.multistep ones) account for it.
+        # A multi-step plan runs as a cascade: the cascade metrics
+        # account for it.
         snap = system.stats()
         assert snap["histograms"]["cascade.run"]["count"] == 1
         assert snap["counters"]["cascade.queries"] == 1

@@ -219,10 +219,9 @@ class TestBenchHarness:
 
         report = bench.run_bench(quick=True)
         for key in ("schema_version", "revision", "machine", "params",
-                    "thinning", "ingestion", "query", "service"):
+                    "ingestion", "query", "service"):
             assert key in report, key
-        assert report["thinning"]["all_identical"]
-        assert report["thinning"]["median_speedup"] > 1.0
+        assert "thinning" not in report and "timeout_pool" not in report
         assert all(
             run["identical_to_serial"] for run in report["ingestion"]["parallel"]
         )
@@ -238,5 +237,5 @@ class TestBenchHarness:
             run["failed"] == 0 for run in report["service"]["runs"]
         )
         summary = bench.format_summary(report)
-        assert "thinning" in summary and "ingestion" in summary
+        assert "ingestion" in summary and "thinning" not in summary
         assert "service" in summary

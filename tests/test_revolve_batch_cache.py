@@ -1,4 +1,4 @@
-"""Surface of revolution, batch scorer, and the feature cache."""
+"""Surface of revolution and the feature cache."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from repro.geometry import (
     translate,
     volume,
 )
-from repro.search import BatchScorer, CombinedSimilarity, SearchEngine, combined_search
 
 
 class TestRevolution:
@@ -53,49 +52,6 @@ class TestRevolution:
             surface_of_revolution([[-1.0, 0.0], [1.0, 1.0]])
         with pytest.raises(MeshError):
             surface_of_revolution([[1.0, 0.0], [1.0, 1.0]], segments=2)
-
-
-@pytest.fixture
-def small_engine():
-    db = ShapeDatabase(FeaturePipeline(voxel_resolution=12))
-    db.insert_mesh(box((2, 3, 4)), group="a")
-    db.insert_mesh(box((2.1, 3.1, 3.9)), group="a")
-    db.insert_mesh(box((5, 5, 1)), group="b")
-    db.insert_mesh(box((5.2, 4.9, 1.1)), group="b")
-    return SearchEngine(db)
-
-
-class TestBatchScorer:
-    def test_distances_match_measure(self, small_engine):
-        scorer = BatchScorer(small_engine)
-        d, ids = scorer.distances(1, "principal_moments")
-        measure = small_engine.measure("principal_moments")
-        q = small_engine.database.get(1).feature("principal_moments")
-        for dist, shape_id in zip(d, ids):
-            stored = small_engine.database.get(shape_id).feature("principal_moments")
-            assert dist == pytest.approx(measure.distance(q, stored))
-
-    def test_combined_matches_scalar_path(self, small_engine):
-        combo = CombinedSimilarity.uniform(
-            ["principal_moments", "moment_invariants", "geometric_params"]
-        )
-        scorer = BatchScorer(small_engine)
-        a = combined_search(small_engine, 1, combo, k=3)
-        b = scorer.combined_search(1, combo, k=3)
-        assert [r.shape_id for r in a] == [r.shape_id for r in b]
-        assert np.allclose(
-            [r.similarity for r in a], [r.similarity for r in b]
-        )
-
-    def test_similarities_bounded(self, small_engine):
-        scorer = BatchScorer(small_engine)
-        sims, _ = scorer.similarities(1, "geometric_params")
-        assert ((sims >= 0) & (sims <= 1)).all()
-
-    def test_k_validation(self, small_engine):
-        scorer = BatchScorer(small_engine)
-        with pytest.raises(ValueError):
-            scorer.combined_search(1, CombinedSimilarity.uniform(["geometric_params"]), k=0)
 
 
 class TestCachingPipeline:

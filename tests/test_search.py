@@ -7,15 +7,14 @@ from repro.db import ShapeDatabase
 from repro.features import FeaturePipeline
 from repro.geometry import box, cylinder, torus, tube
 from repro.search import (
-    MultiStepPlan,
+    CascadeStrategy,
     RelevanceFeedbackSession,
     SearchEngine,
     SimilarityMeasure,
-    multi_step_search,
-    one_shot_search,
     range_weights,
     reconfigure_weights,
     reconstruct_query,
+    run_cascade,
     weighted_distance,
 )
 
@@ -163,46 +162,58 @@ class TestSearchEngine:
     def test_measure_cache_invalidation(self, engine, db):
         m1 = engine.measure("principal_moments")
         assert engine.measure("principal_moments") is m1
-        engine.invalidate()
-        assert engine.measure("principal_moments") is not m1
+        # No explicit invalidation: the insert bumps the store generation.
+        db.insert_mesh(box((8, 1, 1)), group="boxes")
+        m2 = engine.measure("principal_moments")
+        assert m2 is not m1
+        fresh = SimilarityMeasure(db.feature_view("principal_moments").matrix)
+        assert m2.d_max == fresh.d_max != m1.d_max
+        assert engine.measure("principal_moments") is m2
 
 
 class TestMultiStep:
+    """The paper's multi-step strategy (Section 4.2), run as a cascade."""
+
     def test_plan_validation(self):
         with pytest.raises(ValueError):
-            MultiStepPlan(steps=[("a", 10)])
+            CascadeStrategy.from_steps([])
         with pytest.raises(ValueError):
-            MultiStepPlan(steps=[("a", 10), ("b", 20)])  # increasing keep
+            CascadeStrategy.from_steps([("a", 10), ("b", 20)])  # increasing keep
         with pytest.raises(ValueError):
-            MultiStepPlan(steps=[("a", 10), ("b", 0)])
+            CascadeStrategy.from_steps([("a", 10), ("b", 0)])
 
     def test_default_plan_is_papers(self, engine):
-        results = multi_step_search(engine, 1)
+        stages = CascadeStrategy.paper().stages
+        assert [(s.kind, s.feature_name, s.keep) for s in stages] == [
+            ("scan", "moment_invariants", 30),
+            ("rerank", "geometric_params", 10),
+        ]
+        results = run_cascade(engine, 1, CascadeStrategy.paper()).results
         assert len(results) <= 10
 
     def test_filter_subset_of_pool(self, engine):
         pool = engine.search_knn(1, "moment_invariants", k=5)
-        plan = MultiStepPlan(steps=[("moment_invariants", 5), ("geometric_params", 3)])
-        filtered = multi_step_search(engine, 1, plan)
+        plan = CascadeStrategy.from_steps(
+            [("moment_invariants", 5), ("geometric_params", 3)]
+        )
+        filtered = run_cascade(engine, 1, plan).results
         assert {r.shape_id for r in filtered} <= {r.shape_id for r in pool}
         assert len(filtered) == 3
 
     def test_three_step_plan(self, engine):
-        plan = MultiStepPlan(
-            steps=[
+        plan = CascadeStrategy.from_steps(
+            [
                 ("moment_invariants", 6),
                 ("principal_moments", 4),
                 ("geometric_params", 2),
             ]
         )
-        assert len(multi_step_search(engine, 1, plan)) == 2
-
-    def test_one_shot_helper(self, engine):
-        assert len(one_shot_search(engine, 1, "principal_moments", k=3)) == 3
+        assert len(run_cascade(engine, 1, plan).results) == 2
 
     def test_deterministic(self, engine):
-        a = [r.shape_id for r in multi_step_search(engine, 1)]
-        b = [r.shape_id for r in multi_step_search(engine, 1)]
+        plan = CascadeStrategy.paper()
+        a = [r.shape_id for r in run_cascade(engine, 1, plan).results]
+        b = [r.shape_id for r in run_cascade(engine, 1, plan).results]
         assert a == b
 
 

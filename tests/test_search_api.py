@@ -1,10 +1,8 @@
 """Tests for the unified query API (:mod:`repro.search.api`).
 
-These tests exercise only the new ``SearchRequest``/``search()`` surface
-directly (the deprecated shims are called solely under
-``pytest.deprecated_call``), so the suite stays green under
-``python -W error::DeprecationWarning`` — the CI leg that proves the
-project itself is off the legacy API.
+These tests exercise only the ``SearchRequest``/``search()`` surface, so
+the suite stays green under ``python -W error::DeprecationWarning`` —
+the CI leg that proves the project itself is off the legacy API.
 """
 
 from __future__ import annotations
@@ -48,19 +46,15 @@ class TestSearchRequestValidation:
         SearchRequest(query=1, mode="threshold", threshold=0.0)
         SearchRequest(query=1, mode="threshold", threshold=1.0)
 
-    def test_steps_normalized_to_tuples(self):
-        request = SearchRequest(
-            query=1,
-            mode="multi_step",
-            steps=[("principal_moments", 3), ("geometric_params", 2)],
-        )
-        assert request.steps == (
-            ("principal_moments", 3),
-            ("geometric_params", 2),
-        )
+    def test_multi_step_mode_and_steps_removed(self):
+        # The paper's multi-step plan is a cascade strategy now.
+        with pytest.raises(ValueError, match="mode"):
+            SearchRequest(query=1, mode="multi_step")
+        with pytest.raises(TypeError, match="steps"):
+            SearchRequest(query=1, steps=[("principal_moments", 3)])
 
     def test_modes_catalog(self):
-        assert SEARCH_MODES == ("knn", "threshold", "multi_step", "cascade")
+        assert SEARCH_MODES == ("knn", "threshold", "cascade")
 
     def test_strategy_requires_cascade_mode(self):
         from repro.search import CascadeStrategy
@@ -98,17 +92,15 @@ class TestUnifiedSearch:
         # threshold 0 admits every other shape.
         assert len(response) == len(system) - 1
 
-    def test_multi_step_mode_is_deprecated_shim(self, system):
-        # mode="multi_step" still answers — as the equivalent cascade —
-        # but warns; new code uses mode="cascade" with a strategy.
-        with pytest.deprecated_call():
-            response = system.search(
-                SearchRequest(
-                    query=1,
-                    mode="multi_step",
-                    steps=(("principal_moments", 4), ("geometric_params", 2)),
-                )
-            )
+    def test_multi_step_plan_as_cascade(self, system):
+        from repro.search import CascadeStrategy
+
+        strategy = CascadeStrategy.from_steps(
+            (("principal_moments", 4), ("geometric_params", 2))
+        )
+        response = system.search(
+            SearchRequest(query=1, mode="cascade", strategy=strategy)
+        )
         assert len(response) == 2
         assert response.path == "cascade"
         assert [s.kind for s in response.stages] == ["scan", "rerank"]

@@ -260,13 +260,23 @@ class TestSearchEndpoint:
         assert len(client.hits(response)) == 3
 
     def test_multi_step_mode(self, client):
-        response = client.search(
-            shape_id=1,
-            mode="multi_step",
-            steps=[("principal_moments", 3), ("geometric_params", 2)],
-        )
-        assert response["mode"] == "multi_step"
-        assert len(client.hits(response)) == 2
+        # The multi_step mode and its steps field are gone from the wire
+        # (the paper's plan travels as a v2 cascade strategy); a request
+        # that still sends either is a bad request, not a default run.
+        with pytest.raises(ServiceError) as err:
+            client.search(shape_id=1, mode="multi_step")
+        assert (err.value.status, err.value.code) == (400, "service.bad_request")
+        steps = [["principal_moments", 3], ["geometric_params", 2]]
+        for body in (
+            {"shape_id": 1, "mode": "multi_step", "steps": steps},
+            {"shape_id": 1, "mode": "cascade", "steps": steps, "v": 2},
+        ):
+            with pytest.raises(ServiceError) as err:
+                client._call("POST", "/search", body)
+            assert (err.value.status, err.value.code) == (
+                400,
+                "service.bad_request",
+            )
 
     def test_v1_request_gets_v1_response(self, server):
         # A raw request without "v" must be answered byte-compatible

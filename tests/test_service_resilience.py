@@ -18,6 +18,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from queue import Empty, Queue
 from random import Random
 
 import pytest
@@ -558,6 +559,60 @@ class TestSigterm:
                 proc.kill()
                 proc.communicate(timeout=10.0)
 
+    def test_serve_ready_line_reaches_a_pipe_without_unbuffered_io(
+        self, db_dir
+    ):
+        # A supervisor learns the port --port 0 picked from the ready
+        # line, so it must arrive while the server runs, not at exit,
+        # even with block-buffered stdout (no -u, no PYTHONUNBUFFERED).
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.join(repo, "src"), env.get("PYTHONPATH")])
+        )
+        env.pop("PYTHONUNBUFFERED", None)
+        env.pop("REPRO_CHAOS", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", str(db_dir),
+             "--port", "0"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            cwd=repo,
+            env=env,
+        )
+        lines: "Queue[str]" = Queue()
+
+        def pump() -> None:
+            for line in proc.stdout:
+                lines.put(line)
+
+        reader = threading.Thread(target=pump, daemon=True)
+        reader.start()
+        try:
+            seen = []
+            deadline = time.monotonic() + 20.0
+            while not any(" on http://" in line for line in seen):
+                try:
+                    seen.append(
+                        lines.get(timeout=max(0.0, deadline - time.monotonic()))
+                    )
+                except Empty:
+                    pytest.fail(f"no ready line within 20 s: {seen}")
+            assert proc.poll() is None, "ready line arrived only at exit"
+            # The line is printed before the serve loop installs its
+            # SIGTERM handler; a health answer proves the loop is up.
+            url = seen[-1].rsplit(" on ", 1)[1].strip()
+            assert raw_healthz(url)[0] == 200
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60.0) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10.0)
+            reader.join(timeout=10.0)
+            proc.stdout.close()
+
 
 # ----------------------------------------------------------------------
 # Cache warmup (the warm-cache job type)
@@ -592,6 +647,13 @@ class TestWarmup:
             queue.enqueue(WARM_CACHE, {"generation": 1})
             report = system.run_jobs(queue)
         assert report.executed == 1
+        # The measures the job warmed are still cached afterwards, keyed
+        # on the current store generation: run_jobs must not drop them.
+        generation = system.database.store_generation
+        names = system.database.matrix_store.columns()
+        assert names
+        for fname in names:
+            assert system.engine._measures[fname][0] == generation
 
     def test_snapshot_manager_warms_before_serving(self, db_dir):
         manager = SnapshotManager(

@@ -17,6 +17,7 @@ from repro.skeleton import (
     spectrum,
     thin,
 )
+from repro.skeleton.thinning import _thin_reference
 from repro.voxel import VoxelGrid, label_components, voxelize
 
 
@@ -111,7 +112,7 @@ class TestThinning:
 
 
 class TestThinningKernels:
-    """The batched kernel must be bitwise identical to the reference loop."""
+    """``thin`` must be bitwise identical to the reference loop."""
 
     MESHES = {
         "box": lambda: box((4, 3, 2)),
@@ -126,9 +127,8 @@ class TestThinningKernels:
     @pytest.mark.parametrize("resolution", [10, 16])
     def test_identical_on_solids(self, name, resolution):
         grid = voxelize(self.MESHES[name](), resolution=resolution)
-        a = thin(grid, kernel="reference")
-        b = thin(grid, kernel="batched")
-        assert np.array_equal(a.occupancy, b.occupancy)
+        reference = _thin_reference(grid.occupancy.copy(), True, 10_000)
+        assert np.array_equal(reference, thin(grid).occupancy)
 
     @pytest.mark.parametrize("preserve_endpoints", [True, False])
     def test_identical_on_random_grids(self, preserve_endpoints):
@@ -136,14 +136,9 @@ class TestThinningKernels:
         for density in (0.2, 0.5, 0.8):
             occ = rng.random((9, 9, 9)) < density
             grid = VoxelGrid(occ)
-            a = thin(grid, preserve_endpoints=preserve_endpoints, kernel="reference")
-            b = thin(grid, preserve_endpoints=preserve_endpoints, kernel="batched")
-            assert np.array_equal(a.occupancy, b.occupancy), density
-
-    def test_unknown_kernel_rejected(self):
-        grid = voxelize(box((2, 2, 2)), resolution=8)
-        with pytest.raises(ValueError, match="unknown thinning kernel"):
-            thin(grid, kernel="bogus")
+            reference = _thin_reference(occ.copy(), preserve_endpoints, 10_000)
+            b = thin(grid, preserve_endpoints=preserve_endpoints)
+            assert np.array_equal(reference, b.occupancy), density
 
     def test_pack_volume_matches_neighborhood_mask(self):
         from repro.skeleton.simple_point import neighborhood_mask
